@@ -277,8 +277,9 @@ func BenchmarkPriceParallel(b *testing.B) {
 		})},
 	}
 	// On a single-core runner the parallel leg still exercises the pool
-	// (two goroutines) and the ratio degenerates to ~1×; the ≥2× speedup
-	// claim is for 4+ core machines.
+	// (two goroutines) and the ratio degenerates to ~1×. For measured
+	// scaling see perfbench's synth.price_scaling metric (paper
+	// workload; 0.93–1.25 on 2 vCPU).
 	parallel := runtime.NumCPU()
 	if parallel < 2 {
 		parallel = 2

@@ -28,9 +28,9 @@
 // With -server the instance is submitted to a cdcsd daemon instead of
 // synthesized in-process: the client retries shed (429) and draining
 // (503) responses with exponential backoff — honoring the daemon's
-// Retry-After hint — up to -retry attempts, polls the job to
-// completion, and prints the daemon's result (also written by -report
-// verbatim). -trace with -server roots a distributed trace on the
+// Retry-After hint — up to -retry attempts, waits for the job with
+// held GETs (?wait=), and prints the daemon's result (also written by
+// -report verbatim). -trace with -server roots a distributed trace on the
 // submission and, once the job finishes, collects its spans from every
 // replica and writes one stitched Perfetto file. Local-only outputs
 // (-dot, -svg, -json, -metrics, -progress, -simulate) cannot be

@@ -1,5 +1,5 @@
 // Package client is the cdcs-side HTTP client for a cdcsd daemon or
-// fleet: submit a synthesis job, poll it to completion, and retry
+// fleet: submit a synthesis job, wait for it to complete, and retry
 // overload responses the way the daemon asks. The retry loop treats
 // 429 and 503 — the shed and drain tiers — plus transport errors as
 // retryable: it honors an explicit Retry-After hint when the server
@@ -16,7 +16,7 @@
 // sleep (the largest Retry-After seen on the ring, or the backoff).
 // A submission answered by a fleet replica names the replica the job
 // lives on (the envelope's server field); the client pins itself
-// there so Get/Wait poll the right member after a peer forward.
+// there so Wait asks the right member after a peer forward.
 //
 // Everything time-shaped (sleeper, jitter) is injectable so the
 // backoff schedule is unit-testable without wall-clock waits.
@@ -32,6 +32,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,7 +169,7 @@ func (c *Client) rotate() {
 
 // pin parks the client on the replica that owns a just-accepted job —
 // a fleet daemon may have forwarded the submission to its rendezvous
-// owner, and polling any other replica would 404. Unknown owners are
+// owner, and asking any other replica would 404. Unknown owners are
 // added to the ring.
 func (c *Client) pin(job *Job) {
 	target := strings.TrimSuffix(job.Server, "/")
@@ -287,33 +288,28 @@ func (c *Client) Submit(ctx context.Context, spec []byte) (*Job, error) {
 	return nil, fmt.Errorf("submit failed after %d attempts: %w", c.maxAttempts, lastErr)
 }
 
-// Get fetches a job's current state from the pinned endpoint.
-func (c *Client) Get(ctx context.Context, id string) (*Job, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
+// Wait returns the job once it reaches a terminal state, or fails
+// when ctx expires. Each GET asks the daemon to hold its answer
+// (?wait=) until the job finishes or hold passes, and Wait re-issues
+// it at once until the job is terminal. A hold never outlasts the
+// caller's duration, so a connection-capped transport does not queue
+// submissions behind long-held waits.
+func (c *Client) Wait(ctx context.Context, id string, hold time.Duration) (*Job, error) {
+	if hold <= 0 {
+		hold = 100 * time.Millisecond
 	}
-	job, _, err := c.do(req, http.StatusOK)
-	return job, err
-}
-
-// Wait polls the job every poll interval (via the injected sleeper)
-// until it reaches a terminal state or ctx expires.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*Job, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
+	query := "?wait=" + url.QueryEscape(hold.String())
 	for {
-		job, err := c.Get(ctx, id)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base()+"/v1/jobs/"+id+query, nil)
+		if err != nil {
+			return nil, err
+		}
+		job, _, err := c.do(req, http.StatusOK)
 		if err != nil {
 			return nil, err
 		}
 		if job.Terminal() {
 			return job, nil
-		}
-		c.sleep(poll)
-		if err := ctx.Err(); err != nil {
-			return nil, err
 		}
 	}
 }

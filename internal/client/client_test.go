@@ -166,11 +166,16 @@ func TestNonRetryableFailsFast(t *testing.T) {
 	}
 }
 
-// TestWaitPollsToTerminal drives Wait over a job that needs a few
-// polls to finish, with the sleeper counting the polls.
-func TestWaitPollsToTerminal(t *testing.T) {
+// TestWaitHoldsOnServer drives Wait over a job that needs a few held
+// GETs to finish: every GET must ask the server to hold for the
+// caller's duration, and the client itself must never sleep.
+func TestWaitHoldsOnServer(t *testing.T) {
 	var gets int32
+	var badWait atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if got := r.URL.Query().Get("wait"); got != "10ms" {
+			badWait.Store(got)
+		}
 		w.Header().Set("Content-Type", "application/json")
 		if atomic.AddInt32(&gets, 1) < 3 {
 			_, _ = w.Write([]byte(`{"id":"j-000001","state":"running"}`))
@@ -188,8 +193,14 @@ func TestWaitPollsToTerminal(t *testing.T) {
 	if job.State != "done" || string(job.Result) != `{"cost":9.5}` {
 		t.Errorf("job = %+v, want done with its result", job)
 	}
-	if len(sl.delays) != 2 {
-		t.Errorf("polled %d sleeps, want 2", len(sl.delays))
+	if n := atomic.LoadInt32(&gets); n != 3 {
+		t.Errorf("Wait issued %d GETs, want 3", n)
+	}
+	if got := badWait.Load(); got != nil {
+		t.Errorf("a Wait GET carried wait=%q, want wait=10ms on every GET", got)
+	}
+	if len(sl.delays) != 0 {
+		t.Errorf("Wait slept %v, want no client-side sleeps", sl.delays)
 	}
 }
 
@@ -276,7 +287,7 @@ func TestRingExhaustedSleepsLargestHint(t *testing.T) {
 }
 
 // TestSubmitPinsOwnerReplica: a fleet daemon names the replica a
-// forwarded job lives on; Get/Wait must poll that owner, not whichever
+// forwarded job lives on; Wait must ask that owner, not whichever
 // endpoint happened to take the submission.
 func TestSubmitPinsOwnerReplica(t *testing.T) {
 	var ownerGets int32

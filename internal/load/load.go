@@ -332,7 +332,7 @@ func runOne(ctx context.Context, c *client.Client, spec Spec,
 	}
 	// The client pinned itself to the replica the job lives on (a
 	// fleet daemon may have forwarded the submission to its
-	// rendezvous owner), so Wait polls the right place.
+	// rendezvous owner), so Wait holds its GET on the right replica.
 	fin, err := c.Wait(reqCtx, job.ID, 20*time.Millisecond)
 	elapsed := time.Since(start)
 	col.mu.Lock()

@@ -17,7 +17,7 @@ import (
 
 // fakeDaemon is a minimal in-memory cdcsd stand-in: it accepts
 // submissions (optionally shedding every shedEvery-th one), reports
-// each job done after one poll, and stamps envelopes with its own URL
+// each job done on its first GET, and stamps envelopes with its own URL
 // so per-replica attribution is observable.
 type fakeDaemon struct {
 	ts        *httptest.Server

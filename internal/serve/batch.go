@@ -338,15 +338,25 @@ func (s *Server) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	b := s.batches[id]
-	var env batchJSON
+	var done []<-chan struct{}
 	if b != nil {
-		env = s.batchJSONLocked(b)
+		for _, m := range b.members {
+			if j := s.jobs[m.jobID]; j != nil {
+				done = append(done, j.Done())
+			}
+		}
 	}
 	s.mu.Unlock()
 	if b == nil {
 		httpError(w, http.StatusNotFound, "unknown batch %q", id)
 		return
 	}
+	if !holdDone(w, r, done...) {
+		return
+	}
+	s.mu.Lock()
+	env := s.batchJSONLocked(b)
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, env)
 }
 

@@ -45,21 +45,15 @@ func getBatch(t *testing.T, ts *httptest.Server, id string) (batchJSON, int) {
 	return env, resp.StatusCode
 }
 
+// waitBatch holds one GET on the batch until every member is
+// terminal (60s budget).
 func waitBatch(t *testing.T, ts *httptest.Server, id string) batchJSON {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		env, code := getBatch(t, ts, id)
-		if code != http.StatusOK {
-			t.Fatalf("GET batch %s = %d", id, code)
-		}
-		if env.Done {
-			return env
-		}
-		time.Sleep(5 * time.Millisecond)
+	env, code := getBatch(t, ts, id+"?wait=60s")
+	if code != http.StatusOK || !env.Done {
+		t.Fatalf("batch %s did not finish (status %d)", id, code)
 	}
-	t.Fatalf("batch %s did not finish", id)
-	return batchJSON{}
+	return env
 }
 
 func TestBatchHappyPath(t *testing.T) {

@@ -78,7 +78,7 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byt
 		"peer", owner, "workload", workload, "load", load,
 		"trace_id", traceID, "status", resp.StatusCode)
 	// Pass the owner's answer through verbatim: its job envelope names
-	// the owner in the server field, so the client polls the right
+	// the owner in the server field, so the client waits on the right
 	// replica; its Retry-After still applies if the owner shed too.
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -128,7 +128,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 
 // jobView renders a job envelope stamped with this replica's fleet
 // address, so a client that reached the job through a forward (or a
-// load balancer) knows which replica to poll.
+// load balancer) knows which replica to ask.
 func (s *Server) jobView(j *Job) jobJSON {
 	jj := j.json()
 	if s.fleet != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,7 +139,7 @@ type jobJSON struct {
 	Admission string `json:"admission,omitempty"`
 	// Server names the fleet replica the job lives on (set only when
 	// fleet routing is configured): after a peer forward, the address
-	// the client must poll.
+	// the client must ask.
 	Server string `json:"server,omitempty"`
 	// TraceID is the job's distributed trace identifier (32 hex
 	// digits); clients collect the cross-replica trace with it.
@@ -575,13 +576,45 @@ func (s *Server) getJob(id string) *Job {
 	return s.jobs[id]
 }
 
+// maxHold caps a GET's ?wait= hold, so a client asking for longer
+// re-issues the request at least this often.
+const maxHold = time.Minute
+
+// holdDone holds a job or batch GET for its optional ?wait=<Go
+// duration>, capped at maxHold, until every done channel has closed,
+// the duration passes, or the request ends. It ignores runCtx on
+// purpose: a drain finishes every job, which closes the channels. A
+// malformed or negative duration is answered 400 and reported false.
+func holdDone(w http.ResponseWriter, r *http.Request, done ...<-chan struct{}) bool {
+	v := r.URL.Query().Get("wait")
+	d, err := time.ParseDuration(cmp.Or(v, "0"))
+	if err != nil || d < 0 {
+		httpError(w, http.StatusBadRequest, "wait=%q is not a non-negative duration (e.g. 10s)", v)
+		return false
+	}
+	timer := time.NewTimer(min(d, maxHold))
+	defer timer.Stop()
+	for _, ch := range done {
+		select {
+		case <-ch:
+		case <-timer.C:
+			return true
+		case <-r.Context().Done():
+			return true
+		}
+	}
+	return true
+}
+
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j := s.getJob(r.PathValue("id"))
 	if j == nil {
 		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobView(j))
+	if holdDone(w, r, j.Done()) {
+		writeJSON(w, http.StatusOK, s.jobView(j))
+	}
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {

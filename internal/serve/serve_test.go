@@ -63,27 +63,14 @@ func submit(t *testing.T, ts *httptest.Server, body string) (jobJSON, int) {
 	return j, resp.StatusCode
 }
 
+// waitJob holds one GET on the job until it is terminal (30s budget).
 func waitJob(t *testing.T, ts *httptest.Server, id string) jobJSON {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatalf("GET job: %v", err)
-		}
-		var j jobJSON
-		err = json.NewDecoder(resp.Body).Decode(&j)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode job: %v", err)
-		}
-		if j.State == StateDone || j.State == StateFailed {
-			return j
-		}
-		time.Sleep(5 * time.Millisecond)
+	j, code := getJobStatus(t, ts.URL, id+"?wait=30s")
+	if code != http.StatusOK || (j.State != StateDone && j.State != StateFailed) {
+		t.Fatalf("job %s did not finish (status %d, state %q)", id, code, j.State)
 	}
-	t.Fatalf("job %s did not finish", id)
-	return jobJSON{}
+	return j
 }
 
 func TestSynthesizeWanJob(t *testing.T) {

@@ -191,14 +191,9 @@ done
 [ "$(printf '%s' "$probe" | jq -r '.traceId')" = "$ftid" ] \
     || fail "forwarded probe lost the propagated trace ID: $probe"
 
-state=""
-for _ in $(seq 1 100); do
-    state=$(curl -fsS "$fowner/v1/jobs/$fid" | jq -r '.state')
-    [ "$state" = done ] && break
-    [ "$state" = failed ] && fail "forwarded probe failed: $(curl -fsS "$fowner/v1/jobs/$fid")"
-    sleep 0.1
-done
-[ "$state" = done ] || fail "forwarded probe did not finish (state: $state)"
+fjob=$(curl -fsS "$fowner/v1/jobs/$fid?wait=10s")
+[ "$(printf '%s' "$fjob" | jq -r '.state')" = done ] \
+    || fail "forwarded probe did not finish: $fjob"
 
 holders=0
 for port in $P1 $P2 $P3; do

@@ -59,18 +59,10 @@ job=$(curl -fsS -X POST "http://$ADDR/v1/synthesize" \
 id=$(printf '%s' "$job" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 [ -n "$id" ] || fail "no job id in submit response: $job"
 
-# Follow the job to a terminal state.
-state=""
-for _ in $(seq 1 100); do
-    state=$(curl -fsS "http://$ADDR/v1/jobs/$id" \
-        | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
-    [ "$state" = done ] && break
-    [ "$state" = failed ] && fail "job failed: $(curl -fsS "http://$ADDR/v1/jobs/$id")"
-    sleep 0.1
-done
-[ "$state" = done ] || fail "job did not finish (state: $state)"
-
-result=$(curl -fsS "http://$ADDR/v1/jobs/$id")
+# Follow the job to a terminal state: one GET held until it finishes.
+result=$(curl -fsS "http://$ADDR/v1/jobs/$id?wait=10s")
+state=$(printf '%s' "$result" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
+[ "$state" = done ] || fail "job did not finish (state: $state): $result"
 printf '%s' "$result" | grep -q '"optimal": *true' \
     || fail "job result is not optimal: $result"
 
@@ -110,17 +102,8 @@ batch=$(curl -fsS -X POST "http://$ADDR/v1/batch" \
     -d '{"workload":"smoke-batch","graphs":[{"name":"a","example":"wan","options":{"workers":1}},{"name":"b","example":"lan","options":{"workers":1}},{"name":"c","example":"mcm","options":{"workers":1}}]}')
 bid=$(printf '%s' "$batch" | sed -n 's/.*"id": *"\(b-[0-9]*\)".*/\1/p' | head -n 1)
 [ -n "$bid" ] || fail "no batch id in response: $batch"
-bjson=""
-bdone=""
-for _ in $(seq 1 100); do
-    bjson=$(curl -fsS "http://$ADDR/v1/batch/$bid")
-    if printf '%s' "$bjson" | grep -q '"done": *true'; then
-        bdone=yes
-        break
-    fi
-    sleep 0.1
-done
-[ "$bdone" = yes ] || fail "batch $bid did not finish: $bjson"
+bjson=$(curl -fsS "http://$ADDR/v1/batch/$bid?wait=10s")
+printf '%s' "$bjson" | grep -q '"done": *true' || fail "batch $bid did not finish: $bjson"
 n=$(printf '%s' "$bjson" | grep -c '"state": *"done"') || true
 [ "$n" -eq 3 ] || fail "batch $bid has $n done members, want 3: $bjson"
 curl -fsS "http://$ADDR/metrics" | grep -q '^serve_batch_members_total 3$' \
@@ -150,15 +133,10 @@ jobA=$(curl -fsS -X POST "http://$ADDR/v1/synthesize" \
     -d '{"example":"wan","options":{"workers":2}}')
 idA=$(printf '%s' "$jobA" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
 [ -n "$idA" ] || fail "no job id in durable submit response: $jobA"
-state=""
-for _ in $(seq 1 100); do
-    state=$(curl -fsS "http://$ADDR/v1/jobs/$idA" \
-        | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
-    [ "$state" = done ] && break
-    sleep 0.1
-done
-[ "$state" = done ] || fail "durable job A did not finish (state: $state)"
-costA=$(curl -fsS "http://$ADDR/v1/jobs/$idA" | sed -n 's/.*"cost": *\([0-9.]*\).*/\1/p')
+resultA=$(curl -fsS "http://$ADDR/v1/jobs/$idA?wait=10s")
+printf '%s' "$resultA" | grep -q '"state": *"done"' \
+    || fail "durable job A did not finish: $resultA"
+costA=$(printf '%s' "$resultA" | sed -n 's/.*"cost": *\([0-9.]*\).*/\1/p')
 
 # A batch with two fast members and one slow one: the fast members
 # finish before the crash, the slow one is caught mid-run. Submitted
@@ -206,16 +184,10 @@ printf '%s' "$eventsA" | grep -q '^event: run_start$' || fail "restored SSE has 
 printf '%s' "$eventsA" | grep -q '^event: run_end$'   || fail "restored SSE has no run_end"
 
 # The interrupted job must re-run to completion, marked restarted.
-state=""
-for _ in $(seq 1 300); do
-    state=$(curl -fsS "http://$ADDR/v1/jobs/$idB" \
-        | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p')
-    [ "$state" = done ] && break
-    [ "$state" = failed ] && fail "re-queued job B failed: $(curl -fsS "http://$ADDR/v1/jobs/$idB")"
-    sleep 0.1
-done
-[ "$state" = done ] || fail "re-queued job B did not finish (state: $state)"
-curl -fsS "http://$ADDR/v1/jobs/$idB" | grep -q '"restarted": *true' \
+resultB=$(curl -fsS "http://$ADDR/v1/jobs/$idB?wait=30s")
+printf '%s' "$resultB" | grep -q '"state": *"done"' \
+    || fail "re-queued job B did not finish: $resultB"
+printf '%s' "$resultB" | grep -q '"restarted": *true' \
     || fail "re-run job B is not marked restarted"
 
 # The batch must survive the crash: restored envelope, finished
@@ -224,16 +196,8 @@ bjson=$(curl -fsS "http://$ADDR/v1/batch/$cbid") \
     || fail "batch $cbid not restored after kill -9"
 printf '%s' "$bjson" | grep -q '"restored": *true' \
     || fail "restored batch is not marked restored: $bjson"
-bdone=""
-for _ in $(seq 1 300); do
-    bjson=$(curl -fsS "http://$ADDR/v1/batch/$cbid")
-    if printf '%s' "$bjson" | grep -q '"done": *true'; then
-        bdone=yes
-        break
-    fi
-    sleep 0.1
-done
-[ "$bdone" = yes ] || fail "restored batch did not finish: $bjson"
+bjson=$(curl -fsS "http://$ADDR/v1/batch/$cbid?wait=30s")
+printf '%s' "$bjson" | grep -q '"done": *true' || fail "restored batch did not finish: $bjson"
 n=$(printf '%s' "$bjson" | grep -c '"state": *"done"') || true
 [ "$n" -eq 3 ] || fail "restored batch has $n done members, want 3: $bjson"
 n=$(printf '%s' "$bjson" | grep -c '"restarted": *true') || true
